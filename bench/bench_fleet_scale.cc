@@ -17,7 +17,7 @@
 //
 //   ./bench_fleet_scale [--objects=512] [--fixes-per-object=200]
 //                       [--max-shards=0 (0 = min(cores, 8))]
-//                       [--queue-capacity=8192] [--max-batch=256]
+//                       [--queue-capacity=8192]
 //                       [--epsilon=25] [--zipf-s=1.0] [--seed=42]
 //                       [--json-out=BENCH_fleet_scale.json]
 
@@ -140,12 +140,10 @@ struct RunResult {
 // pre-split per producer (ids prebuilt too) so the timed loop is pure
 // Push traffic.
 RunResult TimeRun(const std::string& fleet_name, const Feed& feed,
-                  size_t shards, double epsilon, size_t queue_capacity,
-                  size_t max_batch) {
+                  size_t shards, double epsilon, size_t queue_capacity) {
   ShardedFleetOptions options;
   options.num_shards = shards;
   options.queue_capacity = queue_capacity;
-  options.max_batch = max_batch;
   options.instance =
       stcomp::StrFormat("bench-%s-%zu", fleet_name.c_str(), shards);
   ShardedFleetCompressor engine(
@@ -217,7 +215,6 @@ int main(int argc, char** argv) {
   int fixes_per_object = 200;
   int max_shards = 0;
   int queue_capacity = 8192;
-  int max_batch = 256;
   double epsilon = 25.0;
   double zipf_s = 1.0;
   int seed = 42;
@@ -229,7 +226,6 @@ int main(int argc, char** argv) {
                "largest shard count timed (0 = min(cores, 8))");
   flags.AddInt("queue-capacity", &queue_capacity,
                "per-shard ingest queue capacity");
-  flags.AddInt("max-batch", &max_batch, "worker batch-handoff size");
   flags.AddDouble("epsilon", &epsilon,
                   "opening-window tolerance in metres (per-fix work)");
   flags.AddDouble("zipf-s", &zipf_s, "skew exponent of the skewed fleet");
@@ -239,8 +235,7 @@ int main(int argc, char** argv) {
   if (const stcomp::Status status = flags.Parse(argc, argv); !status.ok()) {
     return status.code() == stcomp::StatusCode::kFailedPrecondition ? 0 : 1;
   }
-  STCOMP_CHECK(objects > 0 && fixes_per_object > 0 && queue_capacity > 0 &&
-               max_batch > 0);
+  STCOMP_CHECK(objects > 0 && fixes_per_object > 0 && queue_capacity > 0);
 
   const unsigned cores = std::thread::hardware_concurrency();
   size_t top = static_cast<size_t>(max_shards);
@@ -271,8 +266,7 @@ int main(int argc, char** argv) {
     for (const bool is_skewed : {false, true}) {
       RunResult run = TimeRun(is_skewed ? "zipf" : "uniform",
                               is_skewed ? skewed : uniform, shards, epsilon,
-                              static_cast<size_t>(queue_capacity),
-                              static_cast<size_t>(max_batch));
+                              static_cast<size_t>(queue_capacity));
       double& base = is_skewed ? skewed_base : uniform_base;
       if (shards == 1) {
         base = run.fixes_per_second;
@@ -326,13 +320,13 @@ int main(int argc, char** argv) {
         "{\n  \"bench\": \"bench_fleet_scale\",\n  \"schema_version\": 1,\n"
         "  \"objects\": %d,\n  \"fixes_per_object\": %d,\n"
         "  \"hardware_threads\": %u,\n  \"max_shards\": %zu,\n"
-        "  \"queue_capacity\": %d,\n  \"max_batch\": %d,\n"
+        "  \"queue_capacity\": %d,\n"
         "  \"epsilon_m\": %.3f,\n  \"zipf_s\": %.3f,\n  \"seed\": %d,\n"
         "  \"uniform_speedup_at_max\": %.4f,\n"
         "  \"skew_ratio_at_max\": %.4f,\n"
         "  \"runs\": %s,\n  \"metrics\": %s}\n",
-        objects, fixes_per_object, cores, top, queue_capacity, max_batch,
-        epsilon, zipf_s, seed, uniform_speedup_at_max, skew_ratio_at_max,
+        objects, fixes_per_object, cores, top, queue_capacity, epsilon,
+        zipf_s, seed, uniform_speedup_at_max, skew_ratio_at_max,
         runs_json.c_str(),
         stcomp::obs::RenderJson(
             stcomp::obs::MetricsRegistry::Global().Snapshot())

@@ -92,6 +92,12 @@ ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 # the ctest pass above; this adds the N-producer bench-shaped load).
 ./build-tsan/bench/bench_fleet_scale --objects=64 --fixes-per-object=50 \
     --max-shards=4 --queue-capacity=128 --json-out=""
+# The ingest ack path under TSan, repeated: TCP_NODELAY on both ends, the
+# poll thread's one-send-per-pass acks against a client waiting in
+# Flush(), and the whole-queue shard handoff (the net leg of CI's
+# tsan-net-soak job).
+ctest --test-dir build-tsan --output-on-failure --repeat until-fail:3 \
+    -R 'SocketUtilTest|ClosedLoopAckRoundTrip|LeaveInOneHandoff|ShareOneWalCommit'
 
 if command -v clang++ >/dev/null 2>&1; then
   echo "== Optional pass: libFuzzer smoke (STCOMP_FUZZ=ON, clang) =="

@@ -53,6 +53,13 @@ Status FleetClient::Dial() {
                                       options_.host.c_str(), options_.port,
                                       std::strerror(errno)));
   }
+  // Batches go out back to back and Flush() waits on their acks: with
+  // Nagle on, each batch after the first would sit behind the server's
+  // delayed ACK.
+  if (Status no_delay = SetNoDelay(fd); !no_delay.ok()) {
+    ::close(fd);
+    return no_delay;
+  }
   fd_ = fd;
   // Fresh stream, fresh framing state: leftover bytes from the previous
   // connection must never bleed into this one.
@@ -146,7 +153,10 @@ void FleetClient::SealBatch() {
   batch.fixes = open_batch_.size();
   batch.bytes =
       EncodeNetFrame(NetFrame::Batch(batch.seq, std::move(open_batch_)));
+  // The move took the buffer; give the next batch its full size up front
+  // instead of regrowing it fix by fix.
   open_batch_.clear();
+  open_batch_.reserve(options_.batch_size);
   pending_.push_back(std::move(batch));
 }
 

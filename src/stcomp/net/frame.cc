@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/varint.h"
@@ -23,6 +24,43 @@ void AppendCrc(std::string* frame) {
   for (int i = 0; i < 4; ++i) {
     frame->push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
   }
+}
+
+size_t VarintSize(uint64_t value) {
+  size_t size = 1;
+  for (; value >= 0x80; value >>= 7) ++size;
+  return size;
+}
+
+size_t LengthPrefixedSize(std::string_view bytes) {
+  return VarintSize(bytes.size()) + bytes.size();
+}
+
+// Encoded payload size of `frame`, so EncodeNetFrame can size its output
+// once and write the payload in place.
+size_t PayloadSize(const NetFrame& frame) {
+  switch (frame.type) {
+    case NetMessageType::kHello:
+      return LengthPrefixedSize(frame.client_id) + VarintSize(frame.flags);
+    case NetMessageType::kHelloAck:
+      return VarintSize(frame.session_id) + VarintSize(frame.last_acked);
+    case NetMessageType::kBatch: {
+      size_t size =
+          VarintSize(frame.batch_seq) + VarintSize(frame.fixes.size());
+      for (const NetFix& fix : frame.fixes) {
+        size += LengthPrefixedSize(fix.object_id) + 3 * sizeof(double);
+      }
+      return size;
+    }
+    case NetMessageType::kBatchAck:
+      return VarintSize(frame.batch_seq);
+    case NetMessageType::kError:
+    case NetMessageType::kGoAway:
+      return 1 + LengthPrefixedSize(frame.message);
+    case NetMessageType::kBye:
+      return 0;
+  }
+  return 0;
 }
 
 Result<std::string> GetLengthPrefixedString(std::string_view* payload,
@@ -143,45 +181,49 @@ NetFrame NetFrame::Bye() {
 }
 
 std::string EncodeNetFrame(const NetFrame& frame) {
-  std::string payload;
+  const size_t payload_size = PayloadSize(frame);
+  std::string out;
+  out.reserve(sizeof(kNetMagic) + 2 + VarintSize(payload_size) +
+              payload_size + 4);
+  out.append(kNetMagic, sizeof(kNetMagic));
+  out.push_back(static_cast<char>(kNetProtocolVersion));
+  out.push_back(static_cast<char>(frame.type));
+  PutVarint(payload_size, &out);
+  [[maybe_unused]] const size_t payload_start = out.size();
   switch (frame.type) {
     case NetMessageType::kHello:
-      PutVarint(frame.client_id.size(), &payload);
-      payload += frame.client_id;
-      PutVarint(frame.flags, &payload);
+      PutVarint(frame.client_id.size(), &out);
+      out += frame.client_id;
+      PutVarint(frame.flags, &out);
       break;
     case NetMessageType::kHelloAck:
-      PutVarint(frame.session_id, &payload);
-      PutVarint(frame.last_acked, &payload);
+      PutVarint(frame.session_id, &out);
+      PutVarint(frame.last_acked, &out);
       break;
     case NetMessageType::kBatch:
-      PutVarint(frame.batch_seq, &payload);
-      PutVarint(frame.fixes.size(), &payload);
+      PutVarint(frame.batch_seq, &out);
+      PutVarint(frame.fixes.size(), &out);
       for (const NetFix& fix : frame.fixes) {
-        PutVarint(fix.object_id.size(), &payload);
-        payload += fix.object_id;
-        PutDouble(fix.fix.t, &payload);
-        PutDouble(fix.fix.position.x, &payload);
-        PutDouble(fix.fix.position.y, &payload);
+        PutVarint(fix.object_id.size(), &out);
+        out += fix.object_id;
+        PutDouble(fix.fix.t, &out);
+        PutDouble(fix.fix.position.x, &out);
+        PutDouble(fix.fix.position.y, &out);
       }
       break;
     case NetMessageType::kBatchAck:
-      PutVarint(frame.batch_seq, &payload);
+      PutVarint(frame.batch_seq, &out);
       break;
     case NetMessageType::kError:
     case NetMessageType::kGoAway:
-      payload.push_back(static_cast<char>(frame.code));
-      PutVarint(frame.message.size(), &payload);
-      payload += frame.message;
+      out.push_back(static_cast<char>(frame.code));
+      PutVarint(frame.message.size(), &out);
+      out += frame.message;
       break;
     case NetMessageType::kBye:
       break;
   }
-  std::string out(kNetMagic, sizeof(kNetMagic));
-  out.push_back(static_cast<char>(kNetProtocolVersion));
-  out.push_back(static_cast<char>(frame.type));
-  PutVarint(payload.size(), &out);
-  out += payload;
+  STCOMP_DCHECK(out.size() - payload_start == payload_size);
   AppendCrc(&out);
   return out;
 }
@@ -335,15 +377,22 @@ FrameScan ScanNetFrame(std::string_view buffer, size_t max_payload,
   return FrameScan::kFrame;
 }
 
+void FrameReader::Append(std::string_view bytes) {
+  buffer_.erase(0, consumed_);
+  consumed_ = 0;
+  buffer_.append(bytes);
+}
+
 FrameScan FrameReader::Next(NetFrame* out, Status* error) {
   if (!poison_.ok()) {
     *error = poison_;
     return FrameScan::kError;
   }
+  const std::string_view pending = std::string_view(buffer_).substr(consumed_);
   size_t frame_size = 0;
   Status scan_error;
   const FrameScan scan =
-      ScanNetFrame(buffer_, max_payload_, &frame_size, &scan_error);
+      ScanNetFrame(pending, max_payload_, &frame_size, &scan_error);
   if (scan == FrameScan::kNeedMore) {
     return FrameScan::kNeedMore;
   }
@@ -352,7 +401,7 @@ FrameScan FrameReader::Next(NetFrame* out, Status* error) {
     *error = poison_;
     return FrameScan::kError;
   }
-  std::string_view cursor = std::string_view(buffer_).substr(0, frame_size);
+  std::string_view cursor = pending.substr(0, frame_size);
   Result<NetFrame> frame = DecodeNetFrame(&cursor);
   if (!frame.ok()) {
     poison_ = frame.status();
@@ -360,7 +409,7 @@ FrameScan FrameReader::Next(NetFrame* out, Status* error) {
     return FrameScan::kError;
   }
   *out = *std::move(frame);
-  buffer_.erase(0, frame_size);
+  consumed_ += frame_size;
   return FrameScan::kFrame;
 }
 

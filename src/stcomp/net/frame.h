@@ -158,16 +158,20 @@ class FrameReader {
   explicit FrameReader(size_t max_payload = kNetMaxPayloadBytes)
       : max_payload_(max_payload) {}
 
-  void Append(std::string_view bytes) { buffer_.append(bytes); }
+  // Drops the bytes earlier frames consumed, then appends `bytes`: the
+  // buffer compacts once per Append, never once per frame.
+  void Append(std::string_view bytes);
 
   // kFrame: *out holds the next decoded frame. kNeedMore: feed more
   // bytes. kError: *error explains; the reader is dead.
   FrameScan Next(NetFrame* out, Status* error);
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  // Bytes appended but not yet returned as frames.
+  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
   std::string buffer_;
+  size_t consumed_ = 0;  // Prefix of buffer_ already returned by Next().
   size_t max_payload_;
   Status poison_;
 };

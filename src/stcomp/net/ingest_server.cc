@@ -135,7 +135,10 @@ void IngestServer::Serve() {
         alive = ReadSession(session);
         if (alive) ProcessFrames(session);
       }
-      if (alive && (pfds[i].revents & POLLOUT)) alive = FlushSession(session);
+      // One send per session per pass: every ack and control frame this
+      // pass queued (plus any backlog POLLOUT reported room for) leaves
+      // in a single write.
+      if (alive && !session->outbound.empty()) alive = FlushSession(session);
       if (alive && session->closing && session->outbound.empty()) {
         alive = false;  // error/GOAWAY fully flushed; hang up
       }
@@ -170,7 +173,10 @@ void IngestServer::AcceptPending() {
       if (errno == EINTR) continue;
       return;  // EAGAIN/EWOULDBLOCK: accepted everything pending
     }
-    if (!SetNonBlocking(fd).ok()) {
+    // Acks are small frames written while earlier ones may still be
+    // unacknowledged; without TCP_NODELAY Nagle holds them for the
+    // client's delayed ACK.
+    if (!SetNonBlocking(fd).ok() || !SetNoDelay(fd).ok()) {
       ::close(fd);
       continue;
     }
@@ -381,9 +387,6 @@ void IngestServer::HandleBatch(Session* session, const NetFrame& frame) {
 void IngestServer::QueueFrame(Session* session, const NetFrame& frame) {
   session->outbound.append(EncodeNetFrame(frame));
   RefreshBufferGauge(session);
-  // Opportunistic flush so acks reach the client this tick instead of
-  // waiting for the next POLLOUT round trip.
-  FlushSession(session);
 }
 
 void IngestServer::ProtocolError(Session* session, NetErrorCode code,

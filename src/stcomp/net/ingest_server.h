@@ -163,7 +163,10 @@ class IngestServer {
   void ProcessFrames(Session* session);
   void HandleFrame(Session* session, const NetFrame& frame);
   void HandleBatch(Session* session, const NetFrame& frame);
-  // Queues a frame on the session's outbound buffer (flushed by poll).
+  // Queues a frame on the session's outbound buffer. Serve() sends it
+  // once per poll pass, after ProcessFrames, together with every other
+  // frame queued in that pass; frames queued outside a session's own
+  // event (deadlines, fencing, shedding) go out on the next POLLOUT.
   void QueueFrame(Session* session, const NetFrame& frame);
   // Typed error frame + mark closing; counted + flight-recorded.
   void ProtocolError(Session* session, NetErrorCode code,

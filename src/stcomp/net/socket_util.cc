@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -62,6 +63,15 @@ Status SetNonBlocking(int fd) {
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return UnavailableError(
         StrFormat("fcntl(O_NONBLOCK) failed: %s", std::strerror(errno)));
+  }
+  return Status::Ok();
+}
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return UnavailableError(
+        StrFormat("setsockopt(TCP_NODELAY) failed: %s", std::strerror(errno)));
   }
   return Status::Ok();
 }

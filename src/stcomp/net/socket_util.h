@@ -41,6 +41,12 @@ Result<Listener> ListenLoopback(uint16_t port, int backlog);
 // Puts `fd` into non-blocking mode (O_NONBLOCK).
 Status SetNonBlocking(int fd);
 
+// Disables Nagle's algorithm (TCP_NODELAY) on a connected TCP socket.
+// Every ingest socket needs it: a frame queued behind an unacknowledged
+// one would otherwise wait out the peer's delayed ACK (~40 ms on Linux),
+// and a request/ack protocol pays that wait on every round trip.
+Status SetNoDelay(int fd);
+
 // Writes all of `data`, retrying on EINTR, always with MSG_NOSIGNAL so a
 // peer that disconnects mid-write surfaces as a Status (EPIPE), never as
 // a SIGPIPE that kills the embedding process. Blocks until everything is

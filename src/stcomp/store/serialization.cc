@@ -14,25 +14,54 @@ constexpr char kMagic[4] = {'S', 'T', 'C', 'T'};
 constexpr uint8_t kVersion = 1;
 constexpr uint8_t kVersionBlocked = 2;
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table
+// for the reflected IEEE polynomial, and kCrcTables[k][b] is b's table-0
+// entry carried through k further zero bytes, so eight lookups advance
+// the CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xffffffffu;
-  for (char c : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ static_cast<uint8_t>(c)) & 0xffu];
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }

@@ -93,7 +93,6 @@ void ShardedFleetCompressor::InitShards(
     std::function<std::unique_ptr<OnlineCompressor>()> factory) {
   STCOMP_CHECK(factory != nullptr);
   STCOMP_CHECK(options_.queue_capacity > 0);
-  STCOMP_CHECK(options_.max_batch > 0);
   size_t count = options_.num_shards;
   if (durable_ != nullptr) {
     // The durable layout owns the id→shard mapping; a disagreeing option
@@ -182,8 +181,7 @@ void ShardedFleetCompressor::RecordShardError(Shard* shard,
 }
 
 void ShardedFleetCompressor::WorkerLoop(Shard* shard) {
-  std::vector<Shard::QueueItem> batch;
-  batch.reserve(options_.max_batch);
+  std::deque<Shard::QueueItem> batch;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(shard->mu);
@@ -193,15 +191,11 @@ void ShardedFleetCompressor::WorkerLoop(Shard* shard) {
         // stop && empty: drained everything that was ever enqueued.
         return;
       }
-      // Batch handoff: swap up to max_batch items out under the lock and
-      // compress them outside it — producers only ever wait on a FULL
-      // queue, never on compression work.
-      const size_t take =
-          std::min(options_.max_batch, shard->queue.size());
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(shard->queue.front()));
-        shard->queue.pop_front();
-      }
+      // Batch handoff: swap the whole queue out under the lock (O(1)) and
+      // compress it outside — producers only ever wait on a FULL queue,
+      // never on compression work, and the group commit below covers
+      // everything that queued while the previous one ran.
+      batch.swap(shard->queue);
       shard->busy = true;
       ++shard->batches;
       STCOMP_IF_METRICS(shard->batches_counter->Increment());
@@ -211,7 +205,10 @@ void ShardedFleetCompressor::WorkerLoop(Shard* shard) {
     }
     {
       std::lock_guard<std::mutex> lock(shard->engine_mu);
-      for (const Shard::QueueItem& item : batch) {
+      // Pop as we go: the deque frees its nodes while the queue refills
+      // behind this batch, so a handoff never holds two full queues.
+      for (; !batch.empty(); batch.pop_front()) {
+        const Shard::QueueItem& item = batch.front();
         const Status status = shard->fleet->Push(item.object_id, item.fix);
         if (!status.ok()) {
           // Sticky first error; later fixes still process (per-object
@@ -227,7 +224,6 @@ void ShardedFleetCompressor::WorkerLoop(Shard* shard) {
         }
       }
     }
-    batch.clear();
     {
       std::lock_guard<std::mutex> lock(shard->mu);
       shard->busy = false;

@@ -9,14 +9,15 @@
 //   - a bounded MPSC ingest queue (mutex + condvar; producers block only
 //     when the queue is FULL — backpressure, counted and flight-recorded),
 //   - one worker thread that drains the queue in batches (batch handoff:
-//     the worker swaps up to max_batch items out under the lock and
-//     compresses them outside it, so a hot object's compression cost
-//     never stalls other producers' enqueues),
+//     the worker swaps the whole queue out under the lock and compresses
+//     it outside, so a hot object's compression cost never stalls other
+//     producers' enqueues),
 //   - its own FleetCompressor (gate + compressor per object, metric
 //     instance "<instance>-sNNN"), and
 //   - its own sink: an internal TrajectoryStore partition by default, or
 //     one PartitionedSegmentStore partition in durable mode (each batch
-//     group-commits after processing).
+//     group-commits after processing, so one fsync covers every fix
+//     that queued while the previous one ran).
 //
 // Because every object maps to exactly one shard and one worker drains
 // that shard's queue in FIFO order, per-object processing order equals
@@ -64,10 +65,9 @@ struct ShardedFleetOptions {
   // 0 = hardware cores. In durable mode the partitioned store's layout
   // wins; a nonzero value here must match it.
   size_t num_shards = 0;
-  // Fixes a shard queue holds before producers block (backpressure).
+  // Fixes a shard queue holds before producers block (backpressure);
+  // also the most one handoff (and one durable group commit) can carry.
   size_t queue_capacity = 4096;
-  // Max items the worker swaps out of the queue per handoff.
-  size_t max_batch = 256;
   // Ingest policy applied per object inside every shard.
   IngestPolicy policy;
   // Metric-instance prefix; empty picks a unique "shfleet-<n>". Shard i's

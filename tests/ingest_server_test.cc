@@ -549,5 +549,45 @@ TEST(IngestServer, ClientSurvivesServerSideSessionKill) {
   server.Stop();
 }
 
+TEST(IngestServer, ClosedLoopAckRoundTripIsFast) {
+  // A closed loop of reports, each four 64-fix batches and a Flush() that
+  // waits for their acks. With Nagle on either end, an ack or batch
+  // written behind an unacknowledged one waits out the peer's delayed
+  // ACK (~40 ms), so 100 reports take at least 4 s; with TCP_NODELAY and
+  // one ack write per poll pass they take milliseconds each.
+  constexpr size_t kReports = 100;
+  constexpr size_t kBatchSize = 64;
+  constexpr size_t kFixesPerReport = 4 * kBatchSize;
+  RecordingSink sink;
+  IngestServer server(sink.AsPushFn(), FastOptions("t-ack-loop"));
+  ASSERT_TRUE(server.Start(0).ok());
+
+  FleetClientOptions copts;
+  copts.port = server.port();
+  copts.client_id = "veh-loop";
+  copts.batch_size = kBatchSize;
+  FleetClient client(copts);
+  ASSERT_TRUE(client.Connect().ok());
+
+  const Trajectory walk =
+      testutil::RandomWalk(static_cast<int>(kReports * kFixesPerReport), 31);
+  const auto start = std::chrono::steady_clock::now();
+  size_t next = 0;
+  for (size_t report = 0; report < kReports; ++report) {
+    for (size_t i = 0; i < kFixesPerReport; ++i) {
+      ASSERT_TRUE(client.Push("veh-loop", walk.points()[next++]).ok());
+    }
+    ASSERT_TRUE(client.Flush().ok());
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0) << "closed loop of " << kReports << " reports";
+  EXPECT_EQ(client.batches_acked(), kReports * 4);
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(sink.total(), walk.size());
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace stcomp::net

@@ -55,7 +55,6 @@ ShardedFleetOptions EngineOptions(const std::string& instance) {
   ShardedFleetOptions options;
   options.num_shards = 4;
   options.queue_capacity = 64;
-  options.max_batch = 16;
   options.instance = instance;
   return options;
 }

@@ -1,15 +1,20 @@
 // ShardedFleetCompressor (DESIGN.md §16): the differential property the
 // whole design rests on — per-object output of the sharded engine equals
 // a single FleetCompressor fed the same per-object sequences — plus
-// backpressure accounting, async error surfacing, cross-shard /objectz
+// backpressure accounting, the whole-queue handoff and its one-fsync
+// group commit, async error surfacing, cross-shard /objectz
 // aggregation, the STSM checkpoint round trip (including the reshard
 // refusal), and durable mode over a PartitionedSegmentStore.
 
 #include "stcomp/stream/sharded_fleet.h"
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "stcomp/store/codec.h"
 #include "stcomp/store/partitioned_store.h"
 #include "stcomp/store/trajectory_store.h"
+#include "stcomp/store/wal.h"
 #include "stcomp/stream/fleet_compressor.h"
 #include "stcomp/stream/opening_window_stream.h"
 #include "test_util.h"
@@ -36,7 +42,6 @@ ShardedFleetOptions FourShards(const std::string& instance) {
   ShardedFleetOptions options;
   options.num_shards = 4;
   options.queue_capacity = 64;
-  options.max_batch = 16;
   options.instance = instance;
   return options;
 }
@@ -241,7 +246,6 @@ TEST(ShardedFleetTest, BackpressureBoundsQueueAndIsCounted) {
   ShardedFleetOptions options;
   options.num_shards = 1;
   options.queue_capacity = 4;
-  options.max_batch = 2;
   options.instance = "backpressure";
   ShardedFleetCompressor engine(
       [] { return std::make_unique<SlowPassthrough>(); }, options);
@@ -262,6 +266,114 @@ TEST(ShardedFleetTest, BackpressureBoundsQueueAndIsCounted) {
   // must have waited for space (deterministically many times).
   EXPECT_GT(stats[0].backpressure_waits, 0u);
   EXPECT_GT(stats[0].batches, 1u);
+}
+
+// Passthrough whose first Push blocks until the test opens the gate:
+// holds the shard worker inside a batch so fixes can queue behind it.
+class GatedPassthrough : public OnlineCompressor {
+ public:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool open = false;
+
+    void WaitEntered() {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [this] { return entered; });
+    }
+    void Open() {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+      cv.notify_all();
+    }
+  };
+
+  explicit GatedPassthrough(Gate* gate) : gate_(gate) {}
+
+  Status Push(const TimedPoint& point,
+              std::vector<TimedPoint>* out) override {
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    gate_->entered = true;
+    gate_->cv.notify_all();
+    gate_->cv.wait(lock, [this] { return gate_->open; });
+    out->push_back(point);
+    return Status::Ok();
+  }
+  void Finish(std::vector<TimedPoint>*) override {}
+  size_t buffered_points() const override { return 0; }
+  std::string_view name() const override { return "gated-passthrough"; }
+
+ private:
+  Gate* gate_;
+};
+
+// More fixes than any fixed per-handoff cap would carry at once.
+constexpr size_t kQueuedBehindGate = 1000;
+
+// Blocks the worker on one fix, queues kQueuedBehindGate more behind it,
+// then opens the gate and flushes. Returns the shard's handoff count.
+// (StatsSnapshot waits for the engine lock the blocked worker holds, so
+// the counts are read only after the gate opens.)
+uint64_t RunGatedHandoff(ShardedFleetCompressor* engine,
+                         GatedPassthrough::Gate* gate) {
+  const Trajectory walk =
+      testutil::RandomWalk(static_cast<int>(kQueuedBehindGate) + 1, 21);
+  EXPECT_TRUE(engine->Push("veh-0", walk.points()[0]).ok());
+  // The worker has taken the first fix alone and is stuck inside it.
+  gate->WaitEntered();
+  for (size_t i = 1; i < walk.size(); ++i) {
+    EXPECT_TRUE(engine->Push("veh-0", walk.points()[i]).ok());
+  }
+  gate->Open();
+  EXPECT_TRUE(engine->Flush().ok());
+  const ShardedFleetCompressor::ShardStats stats = engine->StatsSnapshot()[0];
+  EXPECT_EQ(stats.fixes_in, kQueuedBehindGate + 1);
+  EXPECT_EQ(stats.fixes_out, kQueuedBehindGate + 1);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  return stats.batches;
+}
+
+TEST(ShardedFleetTest, FixesQueuedBehindBusyWorkerLeaveInOneHandoff) {
+  GatedPassthrough::Gate gate;
+  ShardedFleetOptions options;
+  options.num_shards = 1;
+  options.instance = "one-handoff";
+  ShardedFleetCompressor engine(
+      [&gate] { return std::make_unique<GatedPassthrough>(&gate); }, options);
+  // The gated fix's batch, then every queued fix in a single second one.
+  EXPECT_EQ(RunGatedHandoff(&engine, &gate), 2u);
+}
+
+TEST(ShardedFleetTest, DurableFixesQueuedBehindBusyWorkerShareOneWalCommit) {
+  const std::string dir = ::testing::TempDir() + "sharded_fleet_one_commit";
+  std::filesystem::remove_all(dir);
+  // Counts WAL commit markers written: one per group commit.
+  std::atomic<size_t> commits{0};
+  const std::string marker = EncodeWalFrame(WalRecord::Commit());
+  PartitionedSegmentStore::Options store_options;
+  store_options.num_shards = 1;
+  store_options.shard_options.codec = Codec::kRaw;
+  store_options.shard_options.write_hook =
+      [&commits, &marker](size_t, std::string_view bytes) {
+        if (bytes == marker) commits.fetch_add(1);
+        return WriteFault{};
+      };
+  {
+    PartitionedSegmentStore store(store_options);
+    ASSERT_TRUE(store.Open(dir).ok());
+    GatedPassthrough::Gate gate;
+    ShardedFleetOptions options;
+    options.instance = "one-commit";
+    ShardedFleetCompressor engine(
+        [&gate] { return std::make_unique<GatedPassthrough>(&gate); }, &store,
+        options);
+    EXPECT_EQ(RunGatedHandoff(&engine, &gate), 2u);
+    // The gated fix's commit, then one commit for every queued fix.
+    EXPECT_EQ(commits.load(), 2u);
+    EXPECT_EQ(store.shard(0).staged_records(), 0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedFleetTest, AsyncErrorsStickAndSurfaceOnFlush) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stcomp/sim/random.h"
 #include "stcomp/store/codec.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/trajectory_store.h"
@@ -189,6 +190,51 @@ TEST(Crc32Test, KnownVector) {
   // The canonical test vector: CRC32("123456789") = 0xCBF43926.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+// Bitwise CRC-32 (reflected IEEE polynomial), one bit at a time: the
+// definition Crc32's table-driven fast path must reproduce exactly.
+uint32_t ReferenceCrc32(std::string_view data) {
+  uint32_t crc = 0xffffffffu;
+  for (const char c : data) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::string RandomBytes(Rng* rng, size_t size) {
+  std::string bytes(size, '\0');
+  for (char& byte : bytes) {
+    byte = static_cast<char>(rng->NextBelow(256));
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length across the 8-byte block boundary and the byte tail, at
+  // every alignment of the start pointer.
+  Rng rng(20261018);
+  const std::string buffer = RandomBytes(&rng, 257 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 257; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(data), ReferenceCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnSeededRandomBuffers) {
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed);
+    const std::string data =
+        RandomBytes(&rng, static_cast<size_t>(rng.NextBelow(1 << 14)));
+    ASSERT_EQ(Crc32(data), ReferenceCrc32(data))
+        << "seed " << seed << " size " << data.size();
+  }
 }
 
 TEST(TrajectoryStoreTest, InsertGetRemove) {
