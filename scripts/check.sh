@@ -35,6 +35,10 @@ echo "== Pass 1/5: tier-1 (plain RelWithDebInfo) =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+# Format no-op: golden_gen's 29 golden files and fuzz seeds (trajectory
+# frames, store images, STIX index, WAL, STNI) must come out byte-equal
+# to the checked-in copies.
+scripts/check_golden.sh build/tests/golden_gen
 # Extended crash–recover–verify sweep (tests/crash_matrix_test.cc): the
 # tier-1 run already covers one seed; exercise two more so the seeded
 # short/torn-write prefixes land at different offsets. The sharded leg
@@ -49,8 +53,8 @@ STCOMP_CRASH_MATRIX_SEEDS=7,991 \
     --max-shards=4 --json-out=BENCH_fleet_scale.json
 # Query selectivity sweep (DESIGN.md §17): indexed engine vs the
 # decompress-everything oracle; every timed query is first checked for
-# bitwise answer equality, and the validator enforces the acceptance
-# headline (block skipping beats full decode on low-selectivity queries).
+# bitwise answer equality, and the validator requires every cell's
+# speedup to be >= 0.9 (the engine never loses to a full decode).
 ./build/bench/bench_queries --objects=64 --queries=40 \
     --json-out=BENCH_queries.json
 # Network-ingest throughput (DESIGN.md §18): the full FleetClient ->

@@ -136,14 +136,16 @@ def validate(path):
             return fail(
                 path, f"bench_queries: selectivity tiers missing: {labels!r}"
             )
-        # The acceptance headline: block skipping must beat the full-decode
-        # oracle on low-selectivity queries.
-        headline = doc.get("low_selectivity_speedup")
-        if not isinstance(headline, (int, float)) or headline <= 1.0:
+        # The acceptance gate: the indexed engine never loses to the
+        # full-decode oracle, at any fleet size or selectivity (0.9 leaves
+        # room for timing noise, not for a real loss).
+        slowest = min(cells, key=lambda entry: entry["speedup"])
+        if slowest["speedup"] < 0.9:
             return fail(
                 path,
-                "bench_queries: 'low_selectivity_speedup' must exceed 1.0, "
-                f"got {headline!r}",
+                "bench_queries: every cell's 'speedup' must be >= 0.9, got "
+                f"{slowest['speedup']!r} at {slowest['objects']} objects, "
+                f"{slowest['selectivity']} selectivity",
             )
     if bench == "bench_fleet_scale":
         runs = doc.get("runs")

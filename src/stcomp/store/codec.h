@@ -61,6 +61,11 @@ TimedPoint StorageValue(const TimedPoint& point, Codec codec);
 Result<std::vector<TimedPoint>> DecodePoints(std::string_view* input,
                                              Codec codec, size_t count);
 
+// DecodePoints appending to a caller-owned `out` (the query path reuses
+// one buffer across blocks). On error `out` may hold a partial decode.
+Status DecodePointsInto(std::string_view* input, Codec codec, size_t count,
+                        std::vector<TimedPoint>* out);
+
 // Encoded payload size in bytes (convenience for accounting).
 Result<size_t> EncodedSize(const Trajectory& trajectory, Codec codec);
 

@@ -15,6 +15,9 @@ namespace {
 
 constexpr double kUnboundedLow = std::numeric_limits<double>::lowest();
 constexpr double kUnboundedHigh = std::numeric_limits<double>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// The box that selects candidate blocks on their time span alone.
+constexpr BoundingBox kEverywhere{{-kInf, -kInf}, {kInf, kInf}};
 
 struct QueryMetricsSet {
   obs::Counter* by_type[4];
@@ -169,22 +172,6 @@ bool MinDistanceInSpan(const std::vector<TimedPoint>& points, double t0,
   return any;
 }
 
-// One candidate block's points plus its junction point (the next block's
-// first point), so the block's trailing segment is evaluated exactly once
-// — by the block that owns it.
-Result<std::vector<TimedPoint>> DecodeBlockWithJunction(
-    const TrajectoryStore& store, const std::string& id, size_t block_index,
-    size_t block_count) {
-  STCOMP_ASSIGN_OR_RETURN(std::vector<TimedPoint> points,
-                          store.DecodeBlock(id, block_index));
-  if (block_index + 1 < block_count) {
-    STCOMP_ASSIGN_OR_RETURN(const TimedPoint junction,
-                            store.DecodeBlockFirstPoint(id, block_index + 1));
-    points.push_back(junction);
-  }
-  return points;
-}
-
 Status ValidateWindow(const QueryRequest& request) {
   if (std::isnan(request.t0) || std::isnan(request.t1)) {
     return InvalidArgumentError("query window bounds must not be NaN");
@@ -277,6 +264,10 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
   for (const auto& object : objects) {
     answer.stats.blocks_total += object.blocks.size();
   }
+  // One decode buffer for every candidate block: a block's points plus
+  // its junction point, so its trailing segment is evaluated exactly once
+  // — by the block that owns it.
+  std::vector<TimedPoint> points;
 
   if (request.type == QueryType::kTimeWindow) {
     // Index-only: block time spans are exact (summaries are built from
@@ -308,15 +299,12 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       uint32_t block;
     };
     std::vector<NearestCandidate> candidates;
-    for (uint32_t o = 0; o < objects.size(); ++o) {
-      for (uint32_t b = 0; b < objects[o].blocks.size(); ++b) {
-        const BlockSummary& block = objects[o].blocks[b];
-        if (!block.OverlapsTime(t0, t1)) {
-          continue;
-        }
-        candidates.push_back(NearestCandidate{
-            PointToBoxDistance(request.point, block.bounds), o, b});
-      }
+    for (const SpatioTemporalIndex::Posting& p :
+         index.CandidateBlocks(kEverywhere, t0, t1)) {
+      candidates.push_back(NearestCandidate{
+          PointToBoxDistance(request.point,
+                             objects[p.object].blocks[p.block].bounds),
+          p.object, p.block});
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const NearestCandidate& a, const NearestCandidate& b) {
@@ -345,11 +333,8 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       if (best.size() >= request.k && candidate.lower_bound > kth_bound()) {
         break;
       }
-      const auto& object = objects[candidate.object];
-      STCOMP_ASSIGN_OR_RETURN(
-          const std::vector<TimedPoint> points,
-          DecodeBlockWithJunction(store, object.id, candidate.block,
-                                  object.blocks.size()));
+      STCOMP_RETURN_IF_ERROR(store.DecodeBlockWithJunction(
+          objects[candidate.object].id, candidate.block, &points));
       ++answer.stats.blocks_decoded;
       double distance = 0.0;
       if (MinDistanceInSpan(points, t0, t1, request.point, &distance)) {
@@ -378,7 +363,7 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     return answer;
   }
 
-  // Range / corridor: candidate blocks from the grid, then decode only
+  // Range / corridor: candidate blocks from the index, then decode only
   // those, ascending per object — skipped blocks provably hold no hits,
   // so the first match found is the object's earliest.
   SetPredicate pred;
@@ -433,10 +418,8 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       if (hit) {
         continue;  // Later candidate blocks cannot beat an earlier hit.
       }
-      STCOMP_ASSIGN_OR_RETURN(
-          const std::vector<TimedPoint> points,
-          DecodeBlockWithJunction(store, object.id, candidates[i].block,
-                                  object.blocks.size()));
+      STCOMP_RETURN_IF_ERROR(store.DecodeBlockWithJunction(
+          object.id, candidates[i].block, &points));
       ++answer.stats.blocks_decoded;
       hit = FirstHitInSpan(points, t0, t1, pred, &first_hit_t);
     }

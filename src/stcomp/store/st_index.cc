@@ -1,10 +1,8 @@
 #include "stcomp/store/st_index.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
-#include "stcomp/common/check.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/varint.h"
 
@@ -14,6 +12,9 @@ namespace {
 
 constexpr char kIndexMagic[4] = {'S', 'T', 'I', 'X'};
 constexpr uint8_t kIndexVersion = 1;
+// Reserved header field (see st_index.h): written unchanged so STIX
+// bytes stay stable; a loaded value is only validated.
+constexpr double kReservedCellSizeM = 250.0;
 
 void PutCrc(uint32_t crc, std::string* out) {
   for (int i = 0; i < 4; ++i) {
@@ -23,65 +24,9 @@ void PutCrc(uint32_t crc, std::string* out) {
 
 }  // namespace
 
-SpatioTemporalIndex::SpatioTemporalIndex(double cell_size_m)
-    : cell_size_m_(cell_size_m) {
-  STCOMP_CHECK(std::isfinite(cell_size_m) && cell_size_m > 0.0);
-}
-
-SpatioTemporalIndex::CellKey SpatioTemporalIndex::KeyFor(
-    Vec2 position) const {
-  // Saturate before the cast: a fuzz-sized coordinate over a small cell
-  // produces a quotient outside int64 range, and that conversion is UB.
-  // Saturated keys stay ordered, which is all the grid walk needs.
-  const auto coord = [&](double value) -> int64_t {
-    const double cell = std::floor(value / cell_size_m_);
-    if (std::isnan(cell)) {
-      return 0;
-    }
-    if (cell <= -9.2e18) {
-      return std::numeric_limits<int64_t>::min();
-    }
-    if (cell >= 9.2e18) {
-      return std::numeric_limits<int64_t>::max();
-    }
-    return static_cast<int64_t>(cell);
-  };
-  return {coord(position.x), coord(position.y)};
-}
-
-void SpatioTemporalIndex::InsertPostings(uint32_t object_ordinal) {
-  const ObjectEntry& entry = objects_[object_ordinal];
-  for (uint32_t b = 0; b < entry.blocks.size(); ++b) {
-    const BlockSummary& block = entry.blocks[b];
-    const Posting posting{object_ordinal, b};
-    const CellKey lo = KeyFor(block.bounds.min);
-    const CellKey hi = KeyFor(block.bounds.max);
-    // Subtract as unsigned: with saturated keys the signed difference of
-    // int64 extremes overflows. Compare the gap itself (span - 1) so the
-    // full-int64 gap of 2^64-1 cannot wrap span back to zero and sneak a
-    // saturated block past the oversize cut.
-    const uint64_t gap_x =
-        static_cast<uint64_t>(hi.first) - static_cast<uint64_t>(lo.first);
-    const uint64_t gap_y =
-        static_cast<uint64_t>(hi.second) - static_cast<uint64_t>(lo.second);
-    if (gap_x >= kMaxCellsPerBlock || gap_y >= kMaxCellsPerBlock ||
-        (gap_x + 1) * (gap_y + 1) > kMaxCellsPerBlock) {
-      oversize_.push_back(posting);
-      ++total_postings_;
-      continue;
-    }
-    for (int64_t cx = lo.first; cx <= hi.first; ++cx) {
-      for (int64_t cy = lo.second; cy <= hi.second; ++cy) {
-        cells_[{cx, cy}].push_back(posting);
-        ++total_postings_;
-      }
-    }
-  }
-}
-
 SpatioTemporalIndex SpatioTemporalIndex::BuildFromStore(
-    const TrajectoryStore& store, double cell_size_m) {
-  SpatioTemporalIndex index(cell_size_m);
+    const TrajectoryStore& store) {
+  SpatioTemporalIndex index;
   store.VisitBlocks([&index](const std::string& id, size_t num_points,
                              const std::vector<BlockSummary>& blocks,
                              std::string_view payload) {
@@ -92,55 +37,31 @@ SpatioTemporalIndex SpatioTemporalIndex::BuildFromStore(
     entry.blocks = blocks;
     index.objects_.push_back(std::move(entry));
   });
-  for (uint32_t i = 0; i < index.objects_.size(); ++i) {
-    index.InsertPostings(i);
-  }
   return index;
 }
 
 std::vector<SpatioTemporalIndex::Posting>
 SpatioTemporalIndex::CandidateBlocks(const BoundingBox& box, double t0,
                                      double t1) const {
+  // A linear pass over the summary tables, already in (object, block)
+  // order. Its cost is the block count alone: a block spanning kilometres
+  // or a planet-sized box costs the same one comparison as any other.
   std::vector<Posting> candidates;
-  const CellKey lo = KeyFor(box.min);
-  const CellKey hi = KeyFor(box.max);
-  // Walk only populated cells, jumping over empty key ranges with
-  // lower_bound. Iterating the integer cell range of the box instead
-  // (one probe per x-column) stalls for hours on a planet-sized query
-  // box over a metres-sized grid: cost must scale with the number of
-  // occupied cells, never with the area of the question.
-  for (auto it = cells_.lower_bound({lo.first, lo.second});
-       it != cells_.end() && it->first.first <= hi.first;) {
-    if (it->first.second < lo.second) {
-      it = cells_.lower_bound({it->first.first, lo.second});
-    } else if (it->first.second > hi.second) {
-      if (it->first.first == std::numeric_limits<int64_t>::max()) {
-        break;  // No next column to jump to.
+  for (uint32_t o = 0; o < objects_.size(); ++o) {
+    const std::vector<BlockSummary>& blocks = objects_[o].blocks;
+    for (uint32_t b = 0; b < blocks.size(); ++b) {
+      if (blocks[b].OverlapsTime(t0, t1) && blocks[b].bounds.Intersects(box)) {
+        candidates.push_back(Posting{o, b});
       }
-      it = cells_.lower_bound({it->first.first + 1, lo.second});
-    } else {
-      candidates.insert(candidates.end(), it->second.begin(),
-                        it->second.end());
-      ++it;
     }
   }
-  candidates.insert(candidates.end(), oversize_.begin(), oversize_.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  // Exact summary-level filter: the grid may over-approximate (a block's
-  // box and the query box can share a cell without intersecting).
-  std::erase_if(candidates, [&](const Posting& p) {
-    const BlockSummary& block = objects_[p.object].blocks[p.block];
-    return !block.OverlapsTime(t0, t1) || !block.bounds.Intersects(box);
-  });
   return candidates;
 }
 
 std::string SpatioTemporalIndex::SerializeToString() const {
   std::string out(kIndexMagic, sizeof(kIndexMagic));
   out.push_back(static_cast<char>(kIndexVersion));
-  PutDouble(cell_size_m_, &out);
+  PutDouble(kReservedCellSizeM, &out);
   PutVarint(objects_.size(), &out);
   for (const ObjectEntry& entry : objects_) {
     PutVarint(entry.id.size(), &out);
@@ -182,7 +103,7 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
   if (!std::isfinite(cell_size) || cell_size <= 0.0) {
     return DataLossError("index with non-positive cell size");
   }
-  SpatioTemporalIndex index(cell_size);
+  SpatioTemporalIndex index;
   STCOMP_ASSIGN_OR_RETURN(const uint64_t object_count, GetVarint(&cursor));
   if (object_count > cursor.size()) {
     return DataLossError("index object count exceeds image");
@@ -220,9 +141,6 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
   }
   if (!cursor.empty()) {
     return DataLossError("index image has trailing bytes");
-  }
-  for (uint32_t i = 0; i < index.objects_.size(); ++i) {
-    index.InsertPostings(i);
   }
   return index;
 }

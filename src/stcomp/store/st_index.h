@@ -1,30 +1,30 @@
 // Persistent spatio-temporal index over a blocked trajectory store
-// (DESIGN.md §17). A uniform grid maps cells to (object, block) postings
-// built from the store's block summaries; range/corridor queries collect
-// candidate blocks from the covered cells and decode only those. The index
-// carries each object's full summary table, so kNN pruning and time-window
-// queries run off the index without touching payloads.
+// (DESIGN.md §17). The index is each object's full block-summary table;
+// range/corridor queries scan those summaries for candidate blocks and
+// decode only those, and kNN pruning and time-window queries run off the
+// same tables without touching payloads. The scan costs O(total blocks),
+// independent of how far a block or a query box spans.
 //
 // On-disk format (index.stidx, written by the segment store at
 // checkpoint):
 //
-//   magic "STIX" | version u8=1 | cell size double | object count varint
+//   magic "STIX" | version u8=1 | cell size double (reserved) | object
+//   count varint
 //   | per object: id len varint | id bytes | point count varint
 //     | payload crc32 (4 bytes LE) | block count varint | summary table
 //     (block_summary.h)
 //   | crc32 (4 bytes, LE, over everything before it)
 //
-// The grid itself is rebuilt from the summaries on load — postings are
-// derived state and are never serialised. Matches() compares object ids,
-// point counts and payload CRCs against a live store, so a stale index
-// (even one with identical counts) is detected and rebuilt instead of
-// silently serving wrong candidates.
+// The cell size field is reserved: written as 250.0 and validated on
+// load (finite, > 0) so existing images keep their bytes. Matches()
+// compares object ids, point counts and payload CRCs against a live
+// store, so a stale index (even one with identical counts) is detected
+// and rebuilt instead of silently serving wrong candidates.
 
 #ifndef STCOMP_STORE_ST_INDEX_H_
 #define STCOMP_STORE_ST_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,17 +35,6 @@
 #include "stcomp/store/trajectory_store.h"
 
 namespace stcomp {
-
-// Default grid cell edge. Urban fleets move a few hundred metres per
-// 64-point block at typical sampling rates, so one block usually lands in
-// a handful of cells.
-inline constexpr double kDefaultIndexCellSizeM = 250.0;
-
-// A block whose bounding box covers more cells than this is kept on an
-// always-considered overflow list instead of being fanned out to every
-// cell — a bound on index size and build time against adversarial
-// (fuzzed) geometry, not a correctness carve-out.
-inline constexpr size_t kMaxCellsPerBlock = 4096;
 
 class SpatioTemporalIndex {
  public:
@@ -68,23 +57,14 @@ class SpatioTemporalIndex {
     }
   };
 
-  // Precondition (checked): cell_size_m > 0 and finite.
-  explicit SpatioTemporalIndex(double cell_size_m = kDefaultIndexCellSizeM);
-
   // Snapshots `store` into a fresh index.
-  static SpatioTemporalIndex BuildFromStore(
-      const TrajectoryStore& store,
-      double cell_size_m = kDefaultIndexCellSizeM);
+  static SpatioTemporalIndex BuildFromStore(const TrajectoryStore& store);
 
-  double cell_size_m() const { return cell_size_m_; }
   const std::vector<ObjectEntry>& objects() const { return objects_; }
-  size_t posting_count() const { return total_postings_; }
 
-  // Sorted, deduplicated postings whose block summaries overlap both
-  // [t0, t1] and `box`. A superset-free exact filter at summary
-  // granularity: every returned block really overlaps, and every block
-  // that overlaps is returned (the grid only narrows which summaries get
-  // tested).
+  // Sorted postings whose block summaries overlap both [t0, t1] and
+  // `box`: every returned block really overlaps, and every block that
+  // overlaps is returned. An infinite box selects on time alone.
   std::vector<Posting> CandidateBlocks(const BoundingBox& box, double t0,
                                        double t1) const;
 
@@ -92,9 +72,9 @@ class SpatioTemporalIndex {
   // logical content.
   std::string SerializeToString() const;
 
-  // Parses and validates a STIX image, rebuilding the grid; kDataLoss on
-  // any corruption (bad magic/version/CRC, invalid summaries, duplicate
-  // or unordered ids, non-positive cell size).
+  // Parses and validates a STIX image; kDataLoss on any corruption (bad
+  // magic/version/CRC, invalid summaries, duplicate or unordered ids,
+  // non-positive cell size).
   static Result<SpatioTemporalIndex> LoadFromBuffer(std::string_view data);
 
   // True when this index exactly describes `store`'s current contents:
@@ -102,16 +82,7 @@ class SpatioTemporalIndex {
   bool Matches(const TrajectoryStore& store) const;
 
  private:
-  using CellKey = std::pair<int64_t, int64_t>;
-
-  CellKey KeyFor(Vec2 position) const;
-  void InsertPostings(uint32_t object_ordinal);
-
-  double cell_size_m_;
   std::vector<ObjectEntry> objects_;  // Ascending by id (store map order).
-  std::map<CellKey, std::vector<Posting>> cells_;
-  std::vector<Posting> oversize_;  // Blocks spanning > kMaxCellsPerBlock.
-  size_t total_postings_ = 0;
 };
 
 }  // namespace stcomp

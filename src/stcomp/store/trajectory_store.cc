@@ -148,8 +148,9 @@ Result<const std::vector<BlockSummary>*> TrajectoryStore::BlockSummariesOf(
   return &entry->blocks;
 }
 
-Result<std::vector<TimedPoint>> TrajectoryStore::DecodeBlock(
-    std::string_view object_id, size_t block_index) const {
+Status TrajectoryStore::DecodeBlockWithJunction(
+    std::string_view object_id, size_t block_index,
+    std::vector<TimedPoint>* out) const {
   const Entry* entry = FindEntry(object_id);
   if (entry == nullptr) {
     return NotFoundError("object '" + std::string(object_id) +
@@ -158,28 +159,19 @@ Result<std::vector<TimedPoint>> TrajectoryStore::DecodeBlock(
   if (block_index >= entry->blocks.size()) {
     return OutOfRangeError("block index past the object's block count");
   }
+  const auto block_bytes = [entry](const BlockSummary& block) {
+    return std::string_view(entry->encoded)
+        .substr(block.byte_offset, block.byte_length);
+  };
   const BlockSummary& block = entry->blocks[block_index];
-  std::string_view slice = std::string_view(entry->encoded)
-                               .substr(block.byte_offset, block.byte_length);
-  return DecodePoints(&slice, codec_, block.count);
-}
-
-Result<TimedPoint> TrajectoryStore::DecodeBlockFirstPoint(
-    std::string_view object_id, size_t block_index) const {
-  const Entry* entry = FindEntry(object_id);
-  if (entry == nullptr) {
-    return NotFoundError("object '" + std::string(object_id) +
-                         "' not in store");
+  std::string_view slice = block_bytes(block);
+  out->clear();
+  STCOMP_RETURN_IF_ERROR(DecodePointsInto(&slice, codec_, block.count, out));
+  if (block_index + 1 < entry->blocks.size()) {
+    std::string_view next = block_bytes(entry->blocks[block_index + 1]);
+    STCOMP_RETURN_IF_ERROR(DecodePointsInto(&next, codec_, 1, out));
   }
-  if (block_index >= entry->blocks.size()) {
-    return OutOfRangeError("block index past the object's block count");
-  }
-  const BlockSummary& block = entry->blocks[block_index];
-  std::string_view slice = std::string_view(entry->encoded)
-                               .substr(block.byte_offset, block.byte_length);
-  STCOMP_ASSIGN_OR_RETURN(const std::vector<TimedPoint> points,
-                          DecodePoints(&slice, codec_, 1));
-  return points.front();
+  return Status::Ok();
 }
 
 void TrajectoryStore::VisitBlocks(

@@ -64,14 +64,14 @@ class TrajectoryStore {
   Result<const std::vector<BlockSummary>*> BlockSummariesOf(
       std::string_view object_id) const;
 
-  // Decodes one block's coded points (storage values; no junction point).
-  Result<std::vector<TimedPoint>> DecodeBlock(std::string_view object_id,
-                                              size_t block_index) const;
-
-  // Decodes only the first point of a block — the cheap junction lookup
-  // (a block's last segment ends at the next block's first point).
-  Result<TimedPoint> DecodeBlockFirstPoint(std::string_view object_id,
-                                           size_t block_index) const;
+  // Decodes one block's coded points (storage values) into `out`,
+  // replacing its contents, then appends the junction point (the next
+  // block's first point) unless the block is the object's last: the
+  // block's polyline, whose trailing segment ends at the junction. `out`
+  // is caller-owned so a query reuses one buffer across blocks.
+  Status DecodeBlockWithJunction(std::string_view object_id,
+                                 size_t block_index,
+                                 std::vector<TimedPoint>* out) const;
 
   // Visits every object's id, point count, summary table and encoded
   // payload in id order (the index builder's scan).

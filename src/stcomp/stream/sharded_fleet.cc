@@ -52,10 +52,18 @@ struct ShardedFleetCompressor::Shard {
   uint64_t enqueued = 0;
   uint64_t batches = 0;
   uint64_t backpressure_waits = 0;
+  // The engine's counters and sticky error as of the last handoff or
+  // synchronous finish, so stats readers never wait out a batch (and its
+  // WAL fsync) on engine_mu. Written by PublishEngineStats.
+  size_t active_objects = 0;
+  uint64_t fixes_in = 0;
+  uint64_t fixes_out = 0;
+  Status error;
 
   // Engine state, guarded by engine_mu. The worker holds it while
-  // compressing a batch; FinishObject/stats/checkpoint calls serialize
-  // against the worker through it. Never held together with mu.
+  // compressing a batch; FinishObject/checkpoint calls serialize against
+  // the worker through it. Lock order: engine_mu before mu, never the
+  // reverse.
   mutable std::mutex engine_mu;
   std::unique_ptr<TrajectoryStore> own_store;  // In-memory mode only.
   std::unique_ptr<FleetCompressor> fleet;
@@ -69,6 +77,15 @@ struct ShardedFleetCompressor::Shard {
   obs::Counter* errors_counter = nullptr;
 
   std::thread worker;
+
+  // Copies the engine's counters and sticky error into the fields stats
+  // readers see. Caller holds engine_mu and mu.
+  void PublishEngineStats() {
+    active_objects = fleet->active_objects();
+    fixes_in = fleet->fixes_in();
+    fixes_out = fleet->fixes_out();
+    error = first_error;
+  }
 };
 
 ShardedFleetCompressor::ShardedFleetCompressor(
@@ -204,7 +221,7 @@ void ShardedFleetCompressor::WorkerLoop(Shard* shard) {
       shard->cv_space.notify_all();
     }
     {
-      std::lock_guard<std::mutex> lock(shard->engine_mu);
+      std::lock_guard<std::mutex> engine_lock(shard->engine_mu);
       // Pop as we go: the deque frees its nodes while the queue refills
       // behind this batch, so a handoff never holds two full queues.
       for (; !batch.empty(); batch.pop_front()) {
@@ -223,9 +240,10 @@ void ShardedFleetCompressor::WorkerLoop(Shard* shard) {
           RecordShardError(shard, status);
         }
       }
-    }
-    {
+      // Publish before engine_mu goes, so a synchronous finish that takes
+      // it next can never be overwritten by this older snapshot.
       std::lock_guard<std::mutex> lock(shard->mu);
+      shard->PublishEngineStats();
       shard->busy = false;
       if (shard->queue.empty()) {
         shard->cv_drained.notify_all();
@@ -280,6 +298,8 @@ Status ShardedFleetCompressor::FinishObject(std::string_view object_id) {
       RecordShardError(&shard, status);
     }
   }
+  std::lock_guard<std::mutex> queue_lock(shard.mu);
+  shard.PublishEngineStats();
   return status;
 }
 
@@ -290,9 +310,9 @@ Status ShardedFleetCompressor::Flush() {
   }
   Status first = Status::Ok();
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->engine_mu);
-    if (first.ok() && !shard->first_error.ok()) {
-      first = shard->first_error;
+    std::lock_guard<std::mutex> lock(shard->mu);
+    if (first.ok() && !shard->error.ok()) {
+      first = shard->error;
     }
   }
   return first;
@@ -313,6 +333,8 @@ Status ShardedFleetCompressor::FinishAll() {
         first = status;
       }
     }
+    std::lock_guard<std::mutex> queue_lock(shard->mu);
+    shard->PublishEngineStats();
   }
   return first;
 }
@@ -320,8 +342,8 @@ Status ShardedFleetCompressor::FinishAll() {
 size_t ShardedFleetCompressor::fixes_in() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->engine_mu);
-    total += shard->fleet->fixes_in();
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += shard->fixes_in;
   }
   return total;
 }
@@ -329,8 +351,8 @@ size_t ShardedFleetCompressor::fixes_in() const {
 size_t ShardedFleetCompressor::fixes_out() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->engine_mu);
-    total += shard->fleet->fixes_out();
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += shard->fixes_out;
   }
   return total;
 }
@@ -338,8 +360,8 @@ size_t ShardedFleetCompressor::fixes_out() const {
 size_t ShardedFleetCompressor::active_objects() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->engine_mu);
-    total += shard->fleet->active_objects();
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += shard->active_objects;
   }
   return total;
 }
@@ -374,13 +396,10 @@ ShardedFleetCompressor::StatsSnapshot() const {
       entry.enqueued = shard->enqueued;
       entry.batches = shard->batches;
       entry.backpressure_waits = shard->backpressure_waits;
-    }
-    {
-      std::lock_guard<std::mutex> lock(shard->engine_mu);
-      entry.active_objects = shard->fleet->active_objects();
-      entry.fixes_in = shard->fleet->fixes_in();
-      entry.fixes_out = shard->fleet->fixes_out();
-      entry.error = shard->first_error;
+      entry.active_objects = shard->active_objects;
+      entry.fixes_in = shard->fixes_in;
+      entry.fixes_out = shard->fixes_out;
+      entry.error = shard->error;
     }
     stats.push_back(std::move(entry));
   }
@@ -479,8 +498,11 @@ Status ShardedFleetCompressor::RestoreState(std::string_view image) {
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::mutex> lock(shards_[i]->engine_mu);
-    STCOMP_RETURN_IF_ERROR(
-        shards_[i]->fleet->RestoreState(manifest.shard_images[i]));
+    const Status status =
+        shards_[i]->fleet->RestoreState(manifest.shard_images[i]);
+    std::lock_guard<std::mutex> queue_lock(shards_[i]->mu);
+    shards_[i]->PublishEngineStats();
+    STCOMP_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
 }

@@ -118,7 +118,9 @@ class ShardedFleetCompressor {
   size_t num_shards() const { return shards_.size(); }
   const std::string& instance() const { return instance_; }
 
-  // Aggregates across shards (each shard's engine counters summed).
+  // Aggregates across shards (each shard's engine counters summed), as
+  // of each shard's last handoff or synchronous finish: never waits for a
+  // busy worker, and exact once Flush()/FinishAll() has returned.
   size_t fixes_in() const;
   size_t fixes_out() const;
   size_t active_objects() const;
@@ -133,7 +135,10 @@ class ShardedFleetCompressor {
   std::optional<FleetCompressor::ObjectInfo> ObjectStats(
       std::string_view object_id) const;
 
-  // Live per-shard health for /statsz-style surfaces and tools.
+  // Live per-shard health for /statsz-style surfaces and tools. Queue
+  // fields are current; engine fields (active_objects, fixes_in/out,
+  // error) are as of the shard's last handoff, like fixes_in(), so a
+  // scrape never waits out a batch.
   struct ShardStats {
     size_t shard = 0;
     size_t queue_depth = 0;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stcomp/obs/metrics.h"
 #include "stcomp/store/codec.h"
 #include "stcomp/store/trajectory_store.h"
 #include "test_util.h"
@@ -93,7 +94,8 @@ TEST(BlockSummaryTest, IncrementalAppendMatchesBulkInsert) {
 }
 
 // Storage-value containment: a decoded point never escapes the extents of
-// the block that owns it.
+// the block that owns it, and neither does the junction point the decode
+// appends (the next block's first point).
 TEST(BlockSummaryTest, DecodedPointsStayInsideBlockExtents) {
   const Trajectory walk = testutil::RandomWalk(180, 3);
   for (const Codec codec : {Codec::kRaw, Codec::kDelta}) {
@@ -102,17 +104,23 @@ TEST(BlockSummaryTest, DecodedPointsStayInsideBlockExtents) {
     Result<const std::vector<BlockSummary>*> blocks =
         store.BlockSummariesOf("veh");
     ASSERT_TRUE(blocks.ok());
+    std::vector<TimedPoint> points;
     for (size_t b = 0; b < (*blocks)->size(); ++b) {
       const BlockSummary& summary = (**blocks)[b];
-      Result<std::vector<TimedPoint>> points = store.DecodeBlock("veh", b);
-      ASSERT_TRUE(points.ok());
-      ASSERT_EQ(points->size(), summary.count);
-      for (const TimedPoint& point : *points) {
+      ASSERT_TRUE(store.DecodeBlockWithJunction("veh", b, &points).ok());
+      const bool last = b + 1 == (*blocks)->size();
+      ASSERT_EQ(points.size(), summary.count + (last ? 0 : 1));
+      for (const TimedPoint& point : points) {
         EXPECT_GE(point.t, summary.t_min);
         EXPECT_LE(point.t, summary.t_max);
         EXPECT_TRUE(summary.bounds.Contains(point.position));
       }
     }
+    EXPECT_EQ(store.DecodeBlockWithJunction("veh", (*blocks)->size(), &points)
+                  .code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(store.DecodeBlockWithJunction("nope", 0, &points).code(),
+              StatusCode::kNotFound);
   }
 }
 
@@ -128,14 +136,67 @@ TEST(BlockSummaryTest, JunctionPointCoveredByPrecedingBlock) {
       store.BlockSummariesOf("veh");
   ASSERT_TRUE(blocks.ok());
   ASSERT_GT((*blocks)->size(), 1u);
+  std::vector<TimedPoint> points;
+  std::vector<TimedPoint> next;
   for (size_t b = 0; b + 1 < (*blocks)->size(); ++b) {
     const BlockSummary& summary = (**blocks)[b];
-    Result<TimedPoint> junction = store.DecodeBlockFirstPoint("veh", b + 1);
-    ASSERT_TRUE(junction.ok());
-    EXPECT_GE(junction->t, summary.t_min);
-    EXPECT_LE(junction->t, summary.t_max);
-    EXPECT_TRUE(summary.bounds.Contains(junction->position));
+    ASSERT_TRUE(store.DecodeBlockWithJunction("veh", b, &points).ok());
+    ASSERT_TRUE(store.DecodeBlockWithJunction("veh", b + 1, &next).ok());
+    // The appended junction is exactly the next block's first point.
+    const TimedPoint& junction = points.back();
+    EXPECT_EQ(junction.t, next.front().t);
+    EXPECT_EQ(junction.position.x, next.front().position.x);
+    EXPECT_EQ(junction.position.y, next.front().position.y);
+    EXPECT_GE(junction.t, summary.t_min);
+    EXPECT_LE(junction.t, summary.t_max);
+    EXPECT_TRUE(summary.bounds.Contains(junction.position));
   }
+}
+
+// The codec counters see one block-plus-junction decode as the two
+// decodes it stands for: two calls (one for an object's last block), the
+// block's points plus the junction, and the bytes of both.
+TEST(BlockSummaryTest, JunctionDecodeCountsAsBlockPlusFirstPoint) {
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::LabelSet labels{{"codec", "delta"}};
+  obs::Counter* calls =
+      registry.GetCounter("stcomp_store_decode_calls_total", labels);
+  obs::Counter* points_total =
+      registry.GetCounter("stcomp_store_decode_points_total", labels);
+  obs::Counter* bytes =
+      registry.GetCounter("stcomp_store_decode_bytes_total", labels);
+  const Trajectory walk = testutil::RandomWalk(100, 17);
+  TrajectoryStore store;  // kDelta
+  ASSERT_TRUE(store.Insert("veh", walk).ok());
+  Result<const std::vector<BlockSummary>*> blocks =
+      store.BlockSummariesOf("veh");
+  ASSERT_TRUE(blocks.ok());
+  ASSERT_EQ((*blocks)->size(), 2u);
+  const BlockSummary& first = (**blocks)[0];
+  const BlockSummary& last = (**blocks)[1];
+  // A block's first point is coded absolute, alone in its chain.
+  std::string junction_bytes;
+  ASSERT_TRUE(
+      EncodePointSpan(&walk[first.count], 1, Codec::kDelta, &junction_bytes)
+          .ok());
+
+  std::vector<TimedPoint> points;
+  uint64_t calls_before = calls->value();
+  uint64_t points_before = points_total->value();
+  uint64_t bytes_before = bytes->value();
+  ASSERT_TRUE(store.DecodeBlockWithJunction("veh", 0, &points).ok());
+  EXPECT_EQ(calls->value() - calls_before, 2u);
+  EXPECT_EQ(points_total->value() - points_before, first.count + 1u);
+  EXPECT_EQ(bytes->value() - bytes_before,
+            first.byte_length + junction_bytes.size());
+
+  calls_before = calls->value();
+  points_before = points_total->value();
+  bytes_before = bytes->value();
+  ASSERT_TRUE(store.DecodeBlockWithJunction("veh", 1, &points).ok());
+  EXPECT_EQ(calls->value() - calls_before, 1u);
+  EXPECT_EQ(points_total->value() - points_before, last.count);
+  EXPECT_EQ(bytes->value() - bytes_before, last.byte_length);
 }
 
 // Every segment of the decoded polyline lies inside at least one block's

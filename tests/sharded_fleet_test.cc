@@ -313,8 +313,6 @@ constexpr size_t kQueuedBehindGate = 1000;
 
 // Blocks the worker on one fix, queues kQueuedBehindGate more behind it,
 // then opens the gate and flushes. Returns the shard's handoff count.
-// (StatsSnapshot waits for the engine lock the blocked worker holds, so
-// the counts are read only after the gate opens.)
 uint64_t RunGatedHandoff(ShardedFleetCompressor* engine,
                          GatedPassthrough::Gate* gate) {
   const Trajectory walk =
@@ -374,6 +372,41 @@ TEST(ShardedFleetTest, DurableFixesQueuedBehindBusyWorkerShareOneWalCommit) {
     EXPECT_EQ(store.shard(0).staged_records(), 0u);
   }
   std::filesystem::remove_all(dir);
+}
+
+// Stats readers take only the queue lock: a scrape while the worker is
+// stuck inside a batch returns at once, with the engine counters as of
+// the last handoff, and the counts catch up when the batch ends.
+TEST(ShardedFleetTest, StatsSnapshotDoesNotWaitForABusyWorker) {
+  GatedPassthrough::Gate gate;
+  ShardedFleetOptions options;
+  options.num_shards = 1;
+  options.instance = "busy-stats";
+  ShardedFleetCompressor engine(
+      [&gate] { return std::make_unique<GatedPassthrough>(&gate); }, options);
+  const Trajectory walk = testutil::RandomWalk(4, 13);
+  ASSERT_TRUE(engine.Push("veh-0", walk.points()[0]).ok());
+  gate.WaitEntered();
+  ASSERT_TRUE(engine.Push("veh-0", walk.points()[1]).ok());
+  // The worker holds the engine inside the first fix; none of these may
+  // block on it.
+  const ShardedFleetCompressor::ShardStats busy = engine.StatsSnapshot()[0];
+  EXPECT_EQ(busy.enqueued, 2u);
+  EXPECT_EQ(busy.queue_depth, 1u);
+  EXPECT_EQ(busy.fixes_in, 0u);
+  EXPECT_EQ(engine.fixes_in(), 0u);
+  EXPECT_EQ(engine.fixes_out(), 0u);
+  EXPECT_EQ(engine.active_objects(), 0u);
+  gate.Open();
+  ASSERT_TRUE(engine.Flush().ok());
+  const ShardedFleetCompressor::ShardStats flushed = engine.StatsSnapshot()[0];
+  EXPECT_EQ(flushed.fixes_in, 2u);
+  EXPECT_EQ(flushed.fixes_out, 2u);
+  EXPECT_EQ(flushed.active_objects, 1u);
+  EXPECT_EQ(engine.fixes_in(), 2u);
+  ASSERT_TRUE(engine.FinishAll().ok());
+  EXPECT_EQ(engine.active_objects(), 0u);
+  EXPECT_EQ(engine.StatsSnapshot()[0].active_objects, 0u);
 }
 
 TEST(ShardedFleetTest, AsyncErrorsStickAndSurfaceOnFlush) {

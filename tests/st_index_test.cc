@@ -1,12 +1,16 @@
 // SpatioTemporalIndex (DESIGN.md §17): STIX round trip, candidate
-// exactness at summary granularity, stale-index detection via payload
-// CRCs, the oversize-block overflow path, and corruption hardening — a
+// exactness at summary granularity (including kilometre-wide blocks and
+// planet-sized or out-of-range boxes), stale-index detection via payload
+// CRCs, and corruption hardening — a
 // full single-bit-flip sweep over the serialized image must come back as
 // kDataLoss, never a crash or a silently-wrong index.
 
 #include "stcomp/store/st_index.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,11 +22,12 @@
 namespace stcomp {
 namespace {
 
-TrajectoryStore FleetStore(size_t objects, uint64_t seed) {
+TrajectoryStore FleetStore(size_t objects, uint64_t seed,
+                           double step_m = 50.0) {
   TrajectoryStore store;
   for (size_t i = 0; i < objects; ++i) {
     STCOMP_CHECK_OK(store.Insert("veh-" + std::to_string(i),
-                                 testutil::RandomWalk(120, seed + i)));
+                                 testutil::RandomWalk(120, seed + i, step_m)));
   }
   return store;
 }
@@ -58,8 +63,11 @@ TEST(StIndexTest, BuildCoversEveryBlock) {
   EXPECT_EQ(index.CandidateBlocks(everything, -1e18, 1e18).size(), blocks);
 }
 
-// The grid is a narrowing device, never a filter: candidates must equal a
-// brute-force scan of every summary, for any box.
+// Candidates must equal a brute-force scan of every summary, for any box.
+// Besides small walks, this covers the regime of a sparse compressed
+// fleet: 2 km steps make one 64-point block span thousands of 250 m grid
+// cells, queried with quarter-extent, planet-sized and out-of-range boxes
+// (coordinates whose 250 m cell number overflows int64).
 TEST(StIndexTest, CandidatesMatchSummaryScan) {
   const TrajectoryStore store = FleetStore(8, 500);
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
@@ -74,18 +82,61 @@ TEST(StIndexTest, CandidatesMatchSummaryScan) {
     EXPECT_EQ(index.CandidateBlocks(box, t0, t1),
               BruteForceCandidates(index, box, t0, t1));
   }
+
+  const TrajectoryStore sparse = FleetStore(8, 900, 2000.0);
+  const SpatioTemporalIndex wide = SpatioTemporalIndex::BuildFromStore(sparse);
+  BoundingBox extent = wide.objects()[0].blocks[0].bounds;
+  double widest_cells = 0.0;
+  for (const auto& object : wide.objects()) {
+    for (const BlockSummary& block : object.blocks) {
+      extent.min = {std::min(extent.min.x, block.bounds.min.x),
+                    std::min(extent.min.y, block.bounds.min.y)};
+      extent.max = {std::max(extent.max.x, block.bounds.max.x),
+                    std::max(extent.max.y, block.bounds.max.y)};
+      const Vec2 span = block.bounds.max - block.bounds.min;
+      widest_cells = std::max(widest_cells, (span.x / 250.0 + 1.0) *
+                                                (span.y / 250.0 + 1.0));
+    }
+  }
+  ASSERT_GT(widest_cells, 1000.0);
+  const Vec2 size = extent.max - extent.min;
+  for (int q = 0; q < 50; ++q) {
+    const Vec2 corner{extent.min.x + rng.NextDouble() * size.x * 0.75,
+                      extent.min.y + rng.NextDouble() * size.y * 0.75};
+    const BoundingBox quarter{corner, corner + size * 0.25};
+    const double t0 = rng.NextUniform(0.0, 600.0);
+    const double t1 = t0 + rng.NextUniform(0.0, 600.0);
+    EXPECT_EQ(wide.CandidateBlocks(quarter, t0, t1),
+              BruteForceCandidates(wide, quarter, t0, t1));
+  }
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kMax = std::numeric_limits<double>::max();
+  const std::vector<BoundingBox> extreme_boxes = {
+      {{-2e7, -2e7}, {2e7, 2e7}},        // Planet-sized.
+      {{-1e30, -1e30}, {1e30, 1e30}},    // Past int64 at 250 m cells.
+      {{-kMax, -kMax}, {kMax, kMax}},
+      {{-kInf, -kInf}, {kInf, kInf}},
+      {{1e25, 1e25}, {1e26, 1e26}},      // Far off, empty.
+      {{-1e30, extent.min.y}, {extent.min.x + size.x * 0.5, 1e30}},
+  };
+  for (const BoundingBox& box : extreme_boxes) {
+    for (const auto& [t0, t1] :
+         {std::pair{-1e18, 1e18}, std::pair{100.0, 400.0}}) {
+      EXPECT_EQ(wide.CandidateBlocks(box, t0, t1),
+                BruteForceCandidates(wide, box, t0, t1));
+    }
+  }
+  // 120 points => 2 blocks per object, all inside the planet-sized box.
+  EXPECT_EQ(wide.CandidateBlocks(extreme_boxes[0], -1e18, 1e18).size(), 16u);
 }
 
 TEST(StIndexTest, SerializeRoundTrips) {
   const TrajectoryStore store = FleetStore(5, 900);
-  const SpatioTemporalIndex index =
-      SpatioTemporalIndex::BuildFromStore(store, 125.0);
+  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   const std::string image = index.SerializeToString();
   Result<SpatioTemporalIndex> loaded =
       SpatioTemporalIndex::LoadFromBuffer(image);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->cell_size_m(), 125.0);
-  EXPECT_EQ(loaded->posting_count(), index.posting_count());
   ASSERT_EQ(loaded->objects().size(), index.objects().size());
   for (size_t i = 0; i < index.objects().size(); ++i) {
     EXPECT_EQ(loaded->objects()[i].id, index.objects()[i].id);
@@ -94,10 +145,18 @@ TEST(StIndexTest, SerializeRoundTrips) {
               index.objects()[i].payload_crc);
   }
   EXPECT_TRUE(loaded->Matches(store));
-  // Same candidates from the rebuilt grid.
-  const BoundingBox box{{-500.0, -500.0}, {1500.0, 1500.0}};
-  EXPECT_EQ(loaded->CandidateBlocks(box, 0.0, 400.0),
-            index.CandidateBlocks(box, 0.0, 400.0));
+  // Same candidates from the loaded summaries, for any box and window.
+  Rng rng(31);
+  for (int q = 0; q < 20; ++q) {
+    const Vec2 corner{rng.NextUniform(-2000.0, 2000.0),
+                      rng.NextUniform(-2000.0, 2000.0)};
+    const BoundingBox box{corner, corner + Vec2{1500.0, 1500.0}};
+    const double t0 = rng.NextUniform(0.0, 600.0);
+    EXPECT_EQ(loaded->CandidateBlocks(box, t0, t0 + 400.0),
+              index.CandidateBlocks(box, t0, t0 + 400.0));
+  }
+  const BoundingBox everything{{-1e9, -1e9}, {1e9, 1e9}};
+  EXPECT_EQ(loaded->CandidateBlocks(everything, -1e18, 1e18).size(), 10u);
   // Deterministic bytes for a given logical content.
   EXPECT_EQ(loaded->SerializeToString(), image);
 }
@@ -109,7 +168,8 @@ TEST(StIndexTest, EmptyIndexRoundTrips) {
       SpatioTemporalIndex::LoadFromBuffer(index.SerializeToString());
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->objects().empty());
-  EXPECT_EQ(loaded->posting_count(), 0u);
+  const BoundingBox everything{{-1e9, -1e9}, {1e9, 1e9}};
+  EXPECT_TRUE(loaded->CandidateBlocks(everything, -1e18, 1e18).empty());
   EXPECT_TRUE(loaded->Matches(store));
 }
 
@@ -145,23 +205,18 @@ TEST(StIndexTest, MatchesDetectsStaleness) {
   EXPECT_FALSE(index.Matches(smaller));
 }
 
-// A block whose bbox would fan out to more than kMaxCellsPerBlock cells
-// lands on the always-considered overflow list; candidates must still be
-// exact.
-TEST(StIndexTest, OversizeBlocksStayExact) {
+// A block spanning most of the planet (two fixes 40 000 km apart) is a
+// candidate for every box it touches and for no other.
+TEST(StIndexTest, PlanetSizedBlocksStayExact) {
   TrajectoryStore store;
-  // Two fixes 100 km apart inside one block: at 1 m cells that bbox spans
-  // ~1e10 cells, far past the fan-out cap.
-  ASSERT_TRUE(store.Insert("wide", testutil::Traj({{0.0, 0.0, 0.0},
-                                                   {10.0, 100000.0, 100000.0}}))
+  ASSERT_TRUE(store.Insert("wide", testutil::Traj({{0.0, -2e7, -2e7},
+                                                   {10.0, 2e7, 2e7}}))
                   .ok());
   ASSERT_TRUE(store.Insert("near", testutil::RandomWalk(40, 8)).ok());
-  const SpatioTemporalIndex index =
-      SpatioTemporalIndex::BuildFromStore(store, 1.0);
+  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   Rng rng(5);
   for (int q = 0; q < 20; ++q) {
-    const Vec2 corner{rng.NextUniform(-1000.0, 100000.0),
-                      rng.NextUniform(-1000.0, 100000.0)};
+    const Vec2 corner{rng.NextUniform(-3e7, 3e7), rng.NextUniform(-3e7, 3e7)};
     const BoundingBox box{corner, corner + Vec2{500.0, 500.0}};
     EXPECT_EQ(index.CandidateBlocks(box, -1e18, 1e18),
               BruteForceCandidates(index, box, -1e18, 1e18));
